@@ -14,6 +14,10 @@
 //!   [`ast::Formula`] (truth-valued), [`ast::ScalarExpr`] (value-valued),
 //!   plus [`ast::SelectorDef`], the named-predicate abstraction of §2.3.
 //! * [`builder`] — ergonomic constructors for writing ASTs in Rust.
+//! * [`cache`] — [`cache::CacheSet`], the demand-built index,
+//!   statistics, decorrelation and solved-application caches every
+//!   long-lived catalog keeps, plus the content-addressed
+//!   [`cache::AppKey`].
 //! * [`mod@env`] — the [`env::Catalog`] trait through which evaluation
 //!   resolves relation names, scalar parameters, selectors, and
 //!   constructor applications (implemented by `dc-core`'s database).
@@ -51,6 +55,7 @@
 
 pub mod ast;
 pub mod builder;
+pub mod cache;
 pub mod env;
 pub mod error;
 pub mod eval;
@@ -61,6 +66,7 @@ pub mod rewrite;
 pub mod typeck;
 
 pub use ast::{Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SelectorDef, SetFormer, Target};
+pub use cache::{AppKey, CacheSet};
 pub use env::{Catalog, DecorrCached};
 pub use error::EvalError;
 pub use eval::{DecorrEntry, Evaluator, PARALLEL_SCAN_THRESHOLD};

@@ -12,7 +12,9 @@ use std::sync::Arc;
 
 use dc_calculus::ast::{Name, SelectorDef};
 use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
-use dc_calculus::{Catalog, DecorrCached, EvalError, Evaluator, Explanation, RangeExpr};
+use dc_calculus::{
+    AppKey, CacheSet, Catalog, DecorrCached, EvalError, Evaluator, Explanation, RangeExpr,
+};
 use dc_governor::{Budget, SolveDiag, SolveError};
 use dc_index::{HashIndex, RelationStats};
 use dc_relation::Relation;
@@ -21,12 +23,8 @@ use dc_value::{FxHashMap, FxHashSet, Schema, Tuple, Value};
 
 use crate::constructor::Constructor;
 use crate::error::CoreError;
-use crate::fixpoint::{self, AppKey, ConstructorSource, FixpointConfig, FixpointStats, Strategy};
+use crate::fixpoint::{self, ConstructorSource, FixpointConfig, FixpointStats, Strategy};
 use crate::selector::Selector;
-
-/// Base-relation index cache: (relation name, indexed positions) →
-/// index.
-type IndexCache = FxHashMap<(Name, Vec<usize>), Arc<HashIndex>>;
 
 /// An in-memory deductive database: base relations + rules
 /// (constructors) + constraints (selectors).
@@ -40,19 +38,10 @@ pub struct Database {
     /// differential evaluation assumes monotonicity.
     unchecked: FxHashSet<Name>,
     config: FixpointConfig,
-    /// Memo of solved applications; invalidated on any data mutation.
-    solved: RefCell<FxHashMap<AppKey, Relation>>,
-    /// Demand-built hash indexes over base relations, served through
-    /// [`Catalog::index`]; invalidated on any data mutation.
-    indexes: RefCell<IndexCache>,
-    /// Cached statistics over base relations, served through
-    /// [`Catalog::stats`]; invalidated together with the indexes.
-    stats: RefCell<FxHashMap<Name, Arc<RelationStats>>>,
-    /// Cached decorrelation entries (materialised joins of correlated
-    /// quantified ranges, bucketed on their joint keys), served through
-    /// [`Catalog::decorr_entry`] so repeated query evaluations reuse
-    /// the build; invalidated together with the indexes.
-    decorr: RefCell<FxHashMap<RangeExpr, DecorrCached>>,
+    /// Demand-built indexes, statistics and decorrelation entries over
+    /// base relations, plus the memo of solved applications; cleared on
+    /// any data mutation or configuration change.
+    caches: CacheSet,
     /// Statistics of the most recent fixpoint run.
     last_stats: RefCell<Option<FixpointStats>>,
     /// The metrics registry every solve and query evaluation records
@@ -82,10 +71,7 @@ impl Database {
             signatures: FxHashMap::default(),
             unchecked: FxHashSet::default(),
             config,
-            solved: RefCell::new(FxHashMap::default()),
-            indexes: RefCell::new(FxHashMap::default()),
-            stats: RefCell::new(FxHashMap::default()),
-            decorr: RefCell::new(FxHashMap::default()),
+            caches: CacheSet::default(),
             last_stats: RefCell::new(None),
             metrics,
         }
@@ -142,15 +128,13 @@ impl Database {
     }
 
     fn invalidate(&self) {
-        self.solved.borrow_mut().clear();
-        self.indexes.borrow_mut().clear();
-        self.stats.borrow_mut().clear();
-        self.decorr.borrow_mut().clear();
+        self.caches.clear();
     }
 
-    /// Drop the memo of solved constructor applications. Mutations do
-    /// this automatically; benchmarks call it explicitly to measure
-    /// cold evaluations.
+    /// Drop every cache: the memo of solved constructor applications
+    /// and the demand-built indexes, statistics and decorrelation
+    /// entries. Mutations do this automatically; benchmarks call it
+    /// explicitly to measure cold evaluations.
     pub fn clear_solved_cache(&self) {
         self.invalidate();
     }
@@ -443,7 +427,7 @@ impl Database {
     }
 
     /// Decompose the database into its definition and data parts,
-    /// dropping the (thread-local, `RefCell`-backed) caches. This is
+    /// dropping the caches. This is
     /// the snapshot-publication hook the serving layer (`dc-server`)
     /// uses to take over a fully defined database: the parts are plain
     /// `Send + Sync` values from which the server builds its first
@@ -506,27 +490,16 @@ impl Catalog for Database {
     /// evaluator, selector frame, and fixpoint solve that probes the
     /// relation. Caches are dropped on any data mutation.
     fn index(&self, name: &str, positions: &[usize]) -> Option<Arc<HashIndex>> {
-        let key = (name.to_string(), positions.to_vec());
-        if let Some(idx) = self.indexes.borrow().get(&key) {
-            return Some(idx.clone());
-        }
-        let rel = self.relations.get(name)?;
-        let idx = Arc::new(HashIndex::build(rel, positions.to_vec()));
-        self.indexes.borrow_mut().insert(key, idx.clone());
-        Some(idx)
+        self.caches
+            .index_or_build(name, positions, || self.relations.get(name).cloned())
     }
 
     /// Serve (and cache) statistics over base relations, so the join
     /// planner's per-branch collection pass hits a cache instead of
     /// rescanning. Invalidated together with the index cache.
     fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
-        if let Some(s) = self.stats.borrow().get(name) {
-            return Some(s.clone());
-        }
-        let rel = self.relations.get(name)?;
-        let s = Arc::new(RelationStats::collect(rel));
-        self.stats.borrow_mut().insert(name.to_string(), s.clone());
-        Some(s)
+        self.caches
+            .stats_or_collect(name, || self.relations.get(name).cloned())
     }
 
     fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
@@ -545,11 +518,11 @@ impl Catalog for Database {
     /// substituted predicates inside an entry cannot go stale any other
     /// way.
     fn decorr_entry(&self, range: &RangeExpr) -> Option<DecorrCached> {
-        self.decorr.borrow().get(range).cloned()
+        self.caches.decorr(range)
     }
 
     fn cache_decorr_entry(&self, range: &RangeExpr, entry: DecorrCached) {
-        self.decorr.borrow_mut().insert(range.clone(), entry);
+        self.caches.donate_decorr(range, entry);
     }
 
     fn apply_constructor(
@@ -560,8 +533,8 @@ impl Catalog for Database {
         scalar_args: Vec<Value>,
     ) -> Result<Relation, EvalError> {
         let key = AppKey::new(name, &base, &args, &scalar_args);
-        if let Some(hit) = self.solved.borrow().get(&key) {
-            return Ok(hit.clone());
+        if let Some(hit) = self.caches.solved(&key) {
+            return Ok(hit);
         }
         // Non-positive definitions require the (always sound) naive
         // strategy; differential evaluation assumes monotone growth.
@@ -576,7 +549,7 @@ impl Catalog for Database {
         // never mutates `self.relations` — the only state it touches
         // through `&self` are the demand-built caches (indexes, stats,
         // decorrelation entries), which are rebuilt on demand and whose
-        // `RefCell` borrows are released during unwinding. Together
+        // locks tolerate poisoning. Together
         // with the success-only inserts below, this makes every abort
         // atomic: the database is observationally at its pre-solve
         // snapshot.
@@ -600,7 +573,7 @@ impl Catalog for Database {
             }
         };
         *self.last_stats.borrow_mut() = Some(stats);
-        self.solved.borrow_mut().insert(key, value.clone());
+        self.caches.donate_solved(key, value.clone());
         Ok(value)
     }
 }
@@ -782,13 +755,14 @@ mod tests {
         let mut db = scene_db();
         let q = rel("Infront").construct("ahead", vec![]);
         let a = db.eval(&q).unwrap();
-        assert_eq!(db.solved.borrow().len(), 1);
+        let key = AppKey::new("ahead", db.relation_ref("Infront").unwrap(), &[], &[]);
+        assert_eq!(db.caches.solved(&key), Some(a.clone()));
         // Cached: same result.
         let b = db.eval(&q).unwrap();
         assert_eq!(a, b);
         // Mutation invalidates; new tuple extends the closure.
         db.insert("Infront", tuple!["wall", "window"]).unwrap();
-        assert!(db.solved.borrow().is_empty());
+        assert!(db.caches.is_empty());
         let c = db.eval(&q).unwrap();
         assert!(c.len() > b.len());
         assert!(c.contains(&tuple!["vase", "window"]));

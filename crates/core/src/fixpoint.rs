@@ -50,7 +50,9 @@
 //! ordered effect log; the solver replays the logs single-threaded at
 //! the commit site, so registration, index/statistics maintenance, and
 //! delta commits stay serialized and `threads = N` commits relations
-//! identical to `threads = 1`.
+//! identical to `threads = 1`. Base-relation indexes, statistics and
+//! decorrelation entries need no replay: tasks donate them straight
+//! into the solve's shared [`CacheSet`].
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -58,7 +60,7 @@ use std::sync::Arc;
 use dc_calculus::ast::{Branch, Formula, Name, RangeExpr, SetFormer};
 use dc_calculus::env::Overlay;
 use dc_calculus::rewrite;
-use dc_calculus::{Catalog, DecorrCached, EvalError, Evaluator};
+use dc_calculus::{CacheSet, Catalog, DecorrCached, EvalError, Evaluator};
 use dc_governor::fail::{self, Site};
 use dc_governor::{Budget, Meter, SolveDiag, SolveError};
 use dc_index::{HashIndex, RelationStats, StatsBuilder};
@@ -72,6 +74,8 @@ use crate::constructor::Constructor;
 mod snapshot;
 
 use snapshot::{capture_universe, Effect, EvalSnapshot, SnapshotCatalog, Universe};
+
+pub use dc_calculus::AppKey;
 
 /// Fixpoint evaluation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -183,66 +187,6 @@ pub trait ConstructorSource {
     fn base_catalog(&self) -> &dyn Catalog;
     /// Look up a constructor definition.
     fn constructor_def(&self, name: &str) -> Result<Constructor, EvalError>;
-}
-
-/// Content identity of one relation argument of an application:
-/// cardinality plus the storage-memoised 128-bit digest
-/// ([`Relation::digest`]). Equality is content equality (order- and
-/// storage-independent) up to the ~2⁻¹²⁸ digest collision probability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct RelKey {
-    len: usize,
-    digest: u128,
-}
-
-impl RelKey {
-    fn of(rel: &Relation) -> RelKey {
-        RelKey {
-            len: rel.len(),
-            digest: rel.digest(),
-        }
-    }
-}
-
-/// Identity of an instantiated application: §3.2's `applyⱼ`, keyed by
-/// actual values so that textually different but semantically identical
-/// applications share one equation.
-///
-/// Relation actuals are identified by their [`Relation::digest`]
-/// content digest rather than a sorted tuple vector: the digest is
-/// memoised on the COW storage, so registering an application over a
-/// relation whose storage was seen before (every repeated solve, every
-/// shared handle) is O(1) instead of the former O(n log n)
-/// sort-and-clone per registration.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct AppKey {
-    constructor: Name,
-    base: RelKey,
-    args: Vec<RelKey>,
-    scalar_args: Vec<Value>,
-}
-
-impl AppKey {
-    /// Build a key from actual values (canonicalised by content
-    /// digest).
-    pub fn new(
-        constructor: &str,
-        base: &Relation,
-        args: &[Relation],
-        scalar_args: &[Value],
-    ) -> AppKey {
-        AppKey {
-            constructor: constructor.to_string(),
-            base: RelKey::of(base),
-            args: args.iter().map(RelKey::of).collect(),
-            scalar_args: scalar_args.to_vec(),
-        }
-    }
-
-    /// The constructor name.
-    pub fn constructor(&self) -> &str {
-        &self.constructor
-    }
 }
 
 /// How a branch participates in semi-naive evaluation.
@@ -358,9 +302,6 @@ struct State {
     /// the formal base relation and relation parameters. Built on first
     /// executor demand, reused for every later round.
     override_indexes: Vec<NamedIndexMap>,
-    /// Indexes over base-catalog relations, shared by all equations
-    /// (base relations do not change during a solve).
-    base_indexes: NamedIndexMap,
     /// Per-equation statistics over the *accumulated* value, maintained
     /// at the same commit site as `current_indexes` (the invariant
     /// documented in `dc_index::stats`): each committed delta tuple is
@@ -369,25 +310,21 @@ struct State {
     /// Per-equation statistics over the (immutable) override relations,
     /// harvested from overlay demand and preloaded every later round.
     override_stats: Vec<FxHashMap<Name, Arc<RelationStats>>>,
-    /// Statistics over base-catalog relations, computed once per solve.
-    base_stats: FxHashMap<Name, Arc<RelationStats>>,
     /// Data epoch: bumped whenever a delta commits (equation values
     /// change mid-solve). Served through [`Catalog::version`] so any
     /// evaluator alive across a commit drops its syntax-keyed caches
     /// (range values, transient decorrelation indexes, statistics)
     /// instead of serving a stale snapshot.
     epoch: u64,
-    /// Solver-scoped decorrelation cache, keyed by (range syntax,
-    /// `decorr_epoch`): entries built by one evaluator are served to
-    /// every later branch evaluation and semi-naive round of the same
-    /// epoch through [`Catalog::decorr_entry`], so the materialised
-    /// join + joint-key index is built once per epoch instead of once
-    /// per evaluator. A delta commit bumps `epoch`; the mismatch lazily
-    /// drops the whole cache — exactly the invalidation the evaluator's
-    /// own syntax-keyed caches undergo.
-    decorr: FxHashMap<RangeExpr, DecorrCached>,
-    /// The epoch `decorr`'s entries were built under.
-    decorr_epoch: u64,
+    /// Solve-scoped caches over base-catalog relations (indexes and
+    /// statistics: base relations do not change during a solve) and
+    /// decorrelation entries of the current epoch, shared with every
+    /// frozen round snapshot so worker tasks donate their builds
+    /// directly. A delta commit bumps `epoch` and clears the
+    /// decorrelation entries — exactly the invalidation the
+    /// evaluator's own syntax-keyed caches undergo. The solved memo
+    /// stays unused: registered applications live in `index`.
+    caches: Arc<CacheSet>,
     /// The pre-resolved base-catalog slice frozen into every round
     /// snapshot — grown on the solver thread each time an equation
     /// registers, `Arc`-shared so a freeze is a pointer bump.
@@ -409,7 +346,7 @@ impl State {
         if let Some(&i) = self.index.get(&key) {
             return Ok(i);
         }
-        let ctor = source.constructor_def(&key.constructor)?;
+        let ctor = source.constructor_def(key.constructor())?;
         if args.len() != ctor.rel_params.len() {
             return Err(EvalError::ArityMismatch {
                 name: ctor.name.clone(),
@@ -481,24 +418,15 @@ impl State {
     }
 
     /// Freeze the immutable view one round's branch tasks evaluate
-    /// against. Cheap by construction: relations are COW handles, the
-    /// caches hold `Arc`s, and the universe is one `Arc` bump. A stale
-    /// decorrelation cache (entries from before the last commit) is
-    /// frozen as empty — the same entries `decorr_entry` would refuse
-    /// to serve.
+    /// against. Cheap by construction: relations are COW handles, and
+    /// the caches and the universe are one `Arc` bump each.
     fn freeze(&self) -> Arc<EvalSnapshot> {
         Arc::new(EvalSnapshot {
             epoch: self.epoch,
             universe: self.universe.clone(),
             index: self.index.clone(),
             current: self.current.clone(),
-            base_indexes: self.base_indexes.clone(),
-            base_stats: self.base_stats.clone(),
-            decorr: if self.decorr_epoch == self.epoch {
-                self.decorr.clone()
-            } else {
-                FxHashMap::default()
-            },
+            caches: self.caches.clone(),
         })
     }
 }
@@ -609,17 +537,12 @@ impl Catalog for SolverCatalog<'_> {
     /// immutable for the duration of a solve, so one build amortises
     /// over every equation, branch, and round that probes them.
     fn index(&self, name: &str, positions: &[usize]) -> Option<Arc<HashIndex>> {
-        let key = (name.to_string(), positions.to_vec());
-        if let Some(idx) = self.state.borrow().base_indexes.get(&key) {
-            return Some(idx.clone());
-        }
-        let rel = self.source.base_catalog().relation(name).ok()?;
-        let idx = Arc::new(HashIndex::build(&rel, positions.to_vec()));
         self.state
-            .borrow_mut()
-            .base_indexes
-            .insert(key, idx.clone());
-        Some(idx)
+            .borrow()
+            .caches
+            .index_or_build(name, positions, || {
+                self.source.base_catalog().relation(name).ok()
+            })
     }
 
     /// The solver's data epoch — see `State::epoch`.
@@ -628,43 +551,26 @@ impl Catalog for SolverCatalog<'_> {
     }
 
     /// Serve a decorrelation entry built earlier in the *current*
-    /// epoch. Entries from before the last delta commit describe a
-    /// stale snapshot and are never served (the cache is dropped lazily
-    /// on the epoch mismatch instead of eagerly at commit).
+    /// epoch (the delta commit clears the entries of the last one).
     fn decorr_entry(&self, range: &RangeExpr) -> Option<DecorrCached> {
-        let st = self.state.borrow();
-        if st.decorr_epoch != st.epoch {
-            return None;
-        }
-        st.decorr.get(range).cloned()
+        self.state.borrow().caches.decorr(range)
     }
 
     /// Keep a decorrelation entry for the rest of the current epoch —
     /// later branch evaluations and semi-naive rounds probe the same
     /// materialised join instead of rebuilding it per evaluator.
     fn cache_decorr_entry(&self, range: &RangeExpr, entry: DecorrCached) {
-        let mut st = self.state.borrow_mut();
-        if st.decorr_epoch != st.epoch {
-            st.decorr.clear();
-            st.decorr_epoch = st.epoch;
-        }
-        st.decorr.insert(range.clone(), entry);
+        self.state.borrow().caches.donate_decorr(range, entry);
     }
 
     /// Serve (and cache) statistics over base-catalog relations — one
     /// collection pass per solve, every later planner consultation is
     /// O(arity).
     fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
-        if let Some(s) = self.state.borrow().base_stats.get(name) {
-            return Some(s.clone());
-        }
-        let rel = self.source.base_catalog().relation(name).ok()?;
-        let s = Arc::new(RelationStats::collect(&rel));
         self.state
-            .borrow_mut()
-            .base_stats
-            .insert(name.to_string(), s.clone());
-        Some(s)
+            .borrow()
+            .caches
+            .stats_or_collect(name, || self.source.base_catalog().relation(name).ok())
     }
 }
 
@@ -1025,13 +931,10 @@ fn solve_inner(
         delta: Vec::new(),
         current_indexes: Vec::new(),
         override_indexes: Vec::new(),
-        base_indexes: FxHashMap::default(),
         current_stats: Vec::new(),
         override_stats: Vec::new(),
-        base_stats: FxHashMap::default(),
         epoch: 0,
-        decorr: FxHashMap::default(),
-        decorr_epoch: 0,
+        caches: Arc::new(CacheSet::default()),
         universe: Arc::new(Universe::default()),
     });
     let root_key = AppKey::new(constructor, &base, &args, &scalar_args);
@@ -1343,8 +1246,10 @@ fn solve_inner(
             }
             if changed {
                 // Equation values moved: evaluators created before this
-                // commit must not serve caches from the old snapshot.
+                // commit must not serve caches from the old snapshot,
+                // and no decorrelation entry built over it survives.
                 st.epoch += 1;
+                st.caches.clear_decorr();
             }
         }
         drop(commit_span);
@@ -1391,7 +1296,7 @@ fn solve_inner(
                 .iter()
                 .map(NamedIndexMap::len)
                 .sum::<usize>()
-            + st.base_indexes.len(),
+            + st.caches.index_count(),
         budget_checks: meter.checks(),
         degraded_branches: meter.degraded(),
         retried_branches: meter.retried(),
@@ -2194,54 +2099,34 @@ fn run_task(
 /// Replay one task's effect log into solver state — single-threaded, at
 /// the commit site, in log order. Registration replays through the same
 /// `register` + `seed_equation` pair the sequential path uses
-/// (idempotent by [`AppKey`]); cache fills land `entry().or_insert`, so
-/// two tasks discovering the same build converge deterministically.
+/// (idempotent by [`AppKey`]), so two tasks discovering the same
+/// application converge to one registration deterministically. (Cache
+/// fills need no replay: tasks donate them to the solve's shared
+/// [`CacheSet`] directly.)
 fn replay_effects(
     source: &dyn ConstructorSource,
     state: &RefCell<State>,
     knobs: &ExecKnobs,
     effects: Vec<Effect>,
 ) -> Result<(), EvalError> {
-    for effect in effects {
-        match effect {
-            Effect::Register {
-                constructor,
-                base,
-                args,
-                scalar_args,
-            } => {
-                let key = AppKey::new(&constructor, &base, &args, &scalar_args);
-                let fresh = {
-                    let mut st = state.borrow_mut();
-                    if st.index.contains_key(&key) {
-                        None
-                    } else {
-                        Some(st.register(source, key, base, args, scalar_args, None)?)
-                    }
-                };
-                if let Some(j) = fresh {
-                    seed_equation(source, state, j, knobs)?;
-                }
+    for Effect::Register {
+        constructor,
+        base,
+        args,
+        scalar_args,
+    } in effects
+    {
+        let key = AppKey::new(&constructor, &base, &args, &scalar_args);
+        let fresh = {
+            let mut st = state.borrow_mut();
+            if st.index.contains_key(&key) {
+                None
+            } else {
+                Some(st.register(source, key, base, args, scalar_args, None)?)
             }
-            Effect::BaseIndex { name, index } => {
-                let positions = index.positions().to_vec();
-                state
-                    .borrow_mut()
-                    .base_indexes
-                    .entry((name, positions))
-                    .or_insert(index);
-            }
-            Effect::BaseStats { name, stats } => {
-                state.borrow_mut().base_stats.entry(name).or_insert(stats);
-            }
-            Effect::Decorr { range, entry } => {
-                let mut st = state.borrow_mut();
-                if st.decorr_epoch != st.epoch {
-                    st.decorr.clear();
-                    st.decorr_epoch = st.epoch;
-                }
-                st.decorr.entry(range).or_insert(entry);
-            }
+        };
+        if let Some(j) = fresh {
+            seed_equation(source, state, j, knobs)?;
         }
     }
     Ok(())

@@ -11,29 +11,28 @@
 //! * **Frozen reads.** [`EvalSnapshot`] is an immutable, `Arc`-shared
 //!   view of everything a branch evaluation can resolve, captured at
 //!   one [`Catalog::version`] epoch: the equation values (`current`),
-//!   the registered-application index, the base-relation
-//!   index/statistics caches, the decorrelation entries of the current
-//!   epoch, and the [`Universe`] — the transitively reachable slice of
-//!   the base catalog (relations, selector definitions, scalar
-//!   parameters, constructor signatures), pre-resolved on the solver
-//!   thread when each equation registers. Snapshot construction is
-//!   cheap: relations are copy-on-write handles and the caches hold
-//!   `Arc`s, so a freeze is O(equations + cached entries) pointer
-//!   bumps.
-//! * **Logged writes.** [`SnapshotCatalog`] implements [`Catalog`] over
-//!   a snapshot. Reads resolve from the frozen view; anything the
-//!   mutable solver catalog would have recorded — a first-sighting
-//!   constructor registration, a demand-built base index or statistics
-//!   entry, a decorrelation-cache fill — is instead appended to a
-//!   per-task [`Effect`] log (and served from a task-local cache for
-//!   the rest of that task). The solver replays the logs
-//!   single-threaded at the commit site, in task order, so
-//!   registration, maintenance, and commits stay serialized exactly as
-//!   on the sequential path.
+//!   the registered-application index, and the [`Universe`] — the
+//!   transitively reachable slice of the base catalog (relations,
+//!   selector definitions, scalar parameters, constructor signatures),
+//!   pre-resolved on the solver thread when each equation registers.
+//!   Snapshot construction is cheap: relations are copy-on-write
+//!   handles, so a freeze is O(equations) pointer bumps.
+//! * **Logged registrations.** [`SnapshotCatalog`] implements
+//!   [`Catalog`] over a snapshot. Reads resolve from the frozen view; a
+//!   first-sighting constructor registration — the one write the
+//!   mutable solver catalog would have made to solver state — is
+//!   instead appended to a per-task [`Effect`] log. The solver replays
+//!   the logs single-threaded at the commit site, in task order, so
+//!   registration and commits stay serialized exactly as on the
+//!   sequential path.
 //!
-//! Meter ticks are the one side effect *not* logged: the
-//! [`dc_governor::Meter`] is `Arc`-shared and its counters commute, so
-//! workers tick it directly — which is what lets a deadline or tuple
+//! Two side effects are *not* logged. Base-relation indexes,
+//! statistics and decorrelation entries go straight into the solve's
+//! shared [`CacheSet`] (first writer wins; base relations cannot move
+//! during a solve, and the solver clears decorrelation entries only at
+//! the delta commit, after every task of the round has finished). And
+//! the [`dc_governor::Meter`] is `Arc`-shared with commuting counters,
+//! so workers tick it directly — which is what lets a deadline or tuple
 //! ceiling trip *during* a parallel round rather than at replay.
 //!
 //! # Replay ordering guarantees
@@ -41,12 +40,12 @@
 //! Effects are replayed in task order (equation-ascending, then branch
 //! order within an equation — the sequential evaluation order), and a
 //! task's effects are replayed before its value is absorbed. Replay is
-//! idempotent where the sequential path was (`register` by `AppKey`,
-//! cache fills by `entry().or_insert`), so two tasks discovering the
-//! same application or building the same index converge to one
-//! registration, deterministically. Everything replayed lives in
-//! solver-private state: an abort mid-replay leaves the caller-visible
-//! database untouched (the atomic-abort invariant).
+//! idempotent where the sequential path was (`register` by `AppKey`),
+//! so two tasks discovering the same application converge to one
+//! registration, deterministically. Everything replayed — and the
+//! shared cache set — lives in solver-private state: an abort
+//! mid-replay leaves the caller-visible database untouched (the
+//! atomic-abort invariant).
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -54,15 +53,12 @@ use std::sync::Arc;
 
 use dc_calculus::ast::{Branch, Name, RangeExpr, SelectorDef, SetFormer, Target};
 use dc_calculus::rewrite;
-use dc_calculus::{Catalog, DecorrCached, EvalError};
+use dc_calculus::{CacheSet, Catalog, DecorrCached, EvalError};
 use dc_index::{HashIndex, RelationStats};
 use dc_relation::Relation;
 use dc_value::{Domain, FxHashMap, FxHashSet, Schema, Value};
 
 use super::{AppKey, ConstructorSource};
-
-/// Positions-keyed cache of demand-built base-relation indexes.
-type IndexCache = FxHashMap<(Name, Vec<usize>), Arc<HashIndex>>;
 
 /// The transitively reachable slice of the base catalog, pre-resolved
 /// on the solver thread so frozen evaluation never needs the caller's
@@ -113,13 +109,10 @@ pub(super) struct EvalSnapshot {
     pub index: FxHashMap<AppKey, usize>,
     /// Per-equation accumulated values (COW handles).
     pub current: Vec<Relation>,
-    /// Demand-built indexes over base relations.
-    pub base_indexes: IndexCache,
-    /// Cached statistics over base relations.
-    pub base_stats: FxHashMap<Name, Arc<RelationStats>>,
-    /// Decorrelation entries of the *current* epoch (frozen empty when
-    /// the solver cache is stale).
-    pub decorr: FxHashMap<RangeExpr, DecorrCached>,
+    /// The solve's cache set (base-relation indexes and statistics,
+    /// decorrelation entries of the current epoch), shared with the
+    /// solver and every task.
+    pub caches: Arc<CacheSet>,
 }
 
 /// One logged side effect of a frozen branch evaluation, replayed
@@ -137,27 +130,6 @@ pub(super) enum Effect {
         args: Vec<Relation>,
         /// Actual scalar arguments.
         scalar_args: Vec<Value>,
-    },
-    /// A base-relation index built on demand during the task.
-    BaseIndex {
-        /// Relation name.
-        name: Name,
-        /// The built index (its positions key the solver cache).
-        index: Arc<HashIndex>,
-    },
-    /// Base-relation statistics collected on demand during the task.
-    BaseStats {
-        /// Relation name.
-        name: Name,
-        /// The collected statistics.
-        stats: Arc<RelationStats>,
-    },
-    /// A decorrelation entry built (or refused) during the task.
-    Decorr {
-        /// The correlated range the entry is keyed by.
-        range: RangeExpr,
-        /// The built entry or the memoised refusal.
-        entry: DecorrCached,
     },
 }
 
@@ -259,18 +231,13 @@ fn constructed_names(range: &RangeExpr) -> FxHashSet<Name> {
         .collect()
 }
 
-/// The per-task [`Catalog`]: frozen reads, logged writes. Constructed
+/// The per-task [`Catalog`]: frozen reads, logged registrations, cache
+/// fills donated to the solve's shared [`CacheSet`]. Constructed
 /// on the worker from the `Arc`-shared snapshot; consumed with
 /// [`SnapshotCatalog::into_effects`] after evaluation.
 pub(super) struct SnapshotCatalog {
     snap: Arc<EvalSnapshot>,
     effects: RefCell<Vec<Effect>>,
-    /// Task-local caches: a build logged once is also served for the
-    /// rest of this task, mirroring the within-evaluation reuse the
-    /// mutable solver catalog provided.
-    local_indexes: RefCell<IndexCache>,
-    local_stats: RefCell<FxHashMap<Name, Arc<RelationStats>>>,
-    local_decorr: RefCell<FxHashMap<RangeExpr, DecorrCached>>,
 }
 
 impl SnapshotCatalog {
@@ -278,9 +245,6 @@ impl SnapshotCatalog {
         SnapshotCatalog {
             snap,
             effects: RefCell::new(Vec::new()),
-            local_indexes: RefCell::new(FxHashMap::default()),
-            local_stats: RefCell::new(FxHashMap::default()),
-            local_decorr: RefCell::new(FxHashMap::default()),
         }
     }
 
@@ -370,40 +334,15 @@ impl Catalog for SnapshotCatalog {
     }
 
     fn index(&self, name: &str, positions: &[usize]) -> Option<Arc<HashIndex>> {
-        let key = (name.to_string(), positions.to_vec());
-        if let Some(idx) = self.snap.base_indexes.get(&key) {
-            return Some(idx.clone());
-        }
-        if let Some(idx) = self.local_indexes.borrow().get(&key) {
-            return Some(idx.clone());
-        }
-        let rel = self.snap.universe.relations.get(name)?;
-        let idx = Arc::new(HashIndex::build(rel, positions.to_vec()));
-        self.local_indexes.borrow_mut().insert(key, idx.clone());
-        self.effects.borrow_mut().push(Effect::BaseIndex {
-            name: name.to_string(),
-            index: idx.clone(),
-        });
-        Some(idx)
+        self.snap.caches.index_or_build(name, positions, || {
+            self.snap.universe.relations.get(name).cloned()
+        })
     }
 
     fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
-        if let Some(s) = self.snap.base_stats.get(name) {
-            return Some(s.clone());
-        }
-        if let Some(s) = self.local_stats.borrow().get(name) {
-            return Some(s.clone());
-        }
-        let rel = self.snap.universe.relations.get(name)?;
-        let s = Arc::new(RelationStats::collect(rel));
-        self.local_stats
-            .borrow_mut()
-            .insert(name.to_string(), s.clone());
-        self.effects.borrow_mut().push(Effect::BaseStats {
-            name: name.to_string(),
-            stats: s.clone(),
-        });
-        Some(s)
+        self.snap
+            .caches
+            .stats_or_collect(name, || self.snap.universe.relations.get(name).cloned())
     }
 
     fn version(&self) -> u64 {
@@ -411,19 +350,10 @@ impl Catalog for SnapshotCatalog {
     }
 
     fn decorr_entry(&self, range: &RangeExpr) -> Option<DecorrCached> {
-        if let Some(e) = self.snap.decorr.get(range) {
-            return Some(e.clone());
-        }
-        self.local_decorr.borrow().get(range).cloned()
+        self.snap.caches.decorr(range)
     }
 
     fn cache_decorr_entry(&self, range: &RangeExpr, entry: DecorrCached) {
-        self.local_decorr
-            .borrow_mut()
-            .insert(range.clone(), entry.clone());
-        self.effects.borrow_mut().push(Effect::Decorr {
-            range: range.clone(),
-            entry,
-        });
+        self.snap.caches.donate_decorr(range, entry);
     }
 }

@@ -325,6 +325,118 @@ mod tests {
         );
     }
 
+    /// The scene database plus a small staffing instance (assignments,
+    /// skills, tool requests) whose joint-key join view decorrelates,
+    /// and an `Other` relation no query reads.
+    fn warm_counter_db() -> Database {
+        let mut db = scene_db();
+        let pairs = |a: &str, b: &str| Schema::of(&[(a, Domain::Str), (b, Domain::Str)]);
+        db.create_relation("Assign", pairs("task", "worker"))
+            .unwrap();
+        db.insert_all(
+            "Assign",
+            vec![
+                tuple!["t1", "w1"],
+                tuple!["t1", "w2"],
+                tuple!["t2", "w2"],
+                tuple!["t3", "w3"],
+            ],
+        )
+        .unwrap();
+        db.create_relation("Skill", pairs("worker", "tool"))
+            .unwrap();
+        db.insert_all(
+            "Skill",
+            vec![
+                tuple!["w1", "hammer"],
+                tuple!["w2", "saw"],
+                tuple!["w3", "hammer"],
+            ],
+        )
+        .unwrap();
+        db.create_relation("Requests", pairs("task", "tool"))
+            .unwrap();
+        db.insert_all(
+            "Requests",
+            vec![
+                tuple!["t1", "hammer"],
+                tuple!["t1", "saw"],
+                tuple!["t2", "hammer"],
+                tuple!["t3", "hammer"],
+            ],
+        )
+        .unwrap();
+        db.create_relation("Other", infrontrel()).unwrap();
+        db
+    }
+
+    #[test]
+    fn warm_counters_count_each_tier_exactly() {
+        use dc_trace::metrics::Counter;
+        let server = Server::new(warm_counter_db());
+        // An index-probed self-join of Infront.
+        let indexed = set_former(vec![Branch::projecting(
+            vec![attr("f", "front"), attr("b", "back")],
+            vec![("f".into(), rel("Infront")), ("b".into(), rel("Infront"))],
+            eq(attr("f", "back"), attr("b", "front")),
+        )]);
+        // A correlated SOME over a joint-key join view: decorrelated.
+        let qualified = set_former(vec![Branch::projecting(
+            vec![attr("a", "worker")],
+            vec![("a".into(), rel("Assign")), ("s".into(), rel("Skill"))],
+            eq(attr("a", "worker"), attr("s", "worker"))
+                .and(eq(attr("a", "task"), attr("r", "task")))
+                .and(eq(attr("s", "tool"), attr("r", "tool"))),
+        )]);
+        let decorrelated = set_former(vec![Branch::each(
+            "r",
+            rel("Requests"),
+            some("x", qualified, tru()),
+        )]);
+        let solve = rel("Infront").construct("ahead", vec![]);
+        let m = server.metrics();
+        let counts = || {
+            [
+                Counter::WarmIndexHits,
+                Counter::WarmIndexMisses,
+                Counter::WarmStatsHits,
+                Counter::WarmStatsMisses,
+                Counter::WarmDecorrHits,
+                Counter::WarmDecorrMisses,
+                Counter::WarmSolvedHits,
+                Counter::WarmSolvedMisses,
+            ]
+            .map(|c| m.get(c))
+        };
+        let run = |s: &Session| {
+            for _ in 0..2 {
+                assert_eq!(s.query(&indexed).unwrap().len(), 2);
+                assert_eq!(s.query(&decorrelated).unwrap().len(), 3);
+                assert_eq!(s.query(&solve).unwrap().len(), 6);
+            }
+        };
+        // Layout: [index hit, miss, stats hit, miss, decorr hit, miss,
+        // solved hit, miss]. The first session pays every build on
+        // epoch 0: the Infront index and statistics, the decorrelated
+        // entry (whose join build also indexes one side and collects
+        // statistics over Assign and Skill) and the solve. Its repeats
+        // are served by its private tier, which counts nothing.
+        run(&server.begin());
+        assert_eq!(counts(), [0, 2, 0, 3, 0, 1, 0, 1], "first session");
+        // A sibling on the same epoch hits the shared tier once per
+        // entry it asks for — the decorrelated entry hit spares it the
+        // join build's index and statistics — then its private tier.
+        run(&server.begin());
+        assert_eq!(counts(), [1, 2, 1, 3, 1, 1, 1, 1], "sibling session");
+        // A commit on Other carries every entry over: a session on the
+        // next epoch hits the shared tier again.
+        server
+            .commit(&WriteBatch::new().insert("Other", tuple!["u", "v"]))
+            .unwrap();
+        run(&server.begin());
+        assert_eq!(counts(), [2, 2, 2, 3, 2, 1, 2, 1], "next epoch");
+    }
+
     #[test]
     fn shutdown_cancels_sessions_and_rejects_commits() {
         let server = Server::new(scene_db()).with_session_budget(Budget::unlimited());

@@ -6,10 +6,11 @@ use std::time::Instant;
 
 use dc_calculus::ast::{Name, SelectorDef};
 use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
-use dc_calculus::{Catalog, DecorrCached, EvalError, Evaluator, Explanation, RangeExpr};
+use dc_calculus::{
+    AppKey, CacheSet, Catalog, DecorrCached, EvalError, Evaluator, Explanation, RangeExpr,
+};
 use dc_core::fixpoint::{
-    self, AppKey, ConstructorSource, FixpointConfig, FixpointStats, SolvedSystem, Strategy,
-    WarmOutcome,
+    self, ConstructorSource, FixpointConfig, FixpointStats, SolvedSystem, Strategy, WarmOutcome,
 };
 use dc_core::Constructor;
 use dc_governor::{Budget, CancelToken};
@@ -17,15 +18,11 @@ use dc_index::{HashIndex, RelationStats};
 use dc_relation::Relation;
 use dc_trace::metrics::{Counter, Histogram, MetricsRegistry};
 use dc_trace::SpanKind;
-use dc_value::{FxHashMap, FxHashSet, Schema, Tuple, Value};
+use dc_value::{FxHashSet, Schema, Tuple, Value};
 
 use crate::error::{panic_to_eval, ServerError};
 use crate::prepare::{Prepared, PreparedKind, PreparedQuery};
 use crate::snapshot::Snapshot;
-
-/// Base-relation index cache: (relation name, indexed positions) →
-/// index.
-type IndexCache = FxHashMap<(Name, Vec<usize>), Arc<HashIndex>>;
 
 /// A read session pinned to one snapshot.
 ///
@@ -51,10 +48,10 @@ pub struct Session {
     budget: Budget,
     cancel: CancelToken,
     read_set: RefCell<FxHashSet<Name>>,
-    solved: RefCell<FxHashMap<AppKey, Relation>>,
-    indexes: RefCell<IndexCache>,
-    stats: RefCell<FxHashMap<Name, Arc<RelationStats>>>,
-    decorr: RefCell<FxHashMap<RangeExpr, DecorrCached>>,
+    /// The private tier in front of the snapshot's shared warm caches:
+    /// its lock is never shared with another session, and its hits
+    /// count nothing.
+    private: CacheSet,
     last_stats: RefCell<Option<FixpointStats>>,
 }
 
@@ -72,10 +69,7 @@ impl Session {
             budget,
             cancel,
             read_set: RefCell::new(FxHashSet::default()),
-            solved: RefCell::new(FxHashMap::default()),
-            indexes: RefCell::new(IndexCache::default()),
-            stats: RefCell::new(FxHashMap::default()),
-            decorr: RefCell::new(FxHashMap::default()),
+            private: CacheSet::default(),
             last_stats: RefCell::new(None),
         }
     }
@@ -250,8 +244,7 @@ impl Session {
             Err(payload) => return Err(panic_to_eval(payload).into()),
         };
         *self.last_stats.borrow_mut() = Some(stats);
-        self.snap.warm().donate_solved(key.clone(), value.clone());
-        self.solved.borrow_mut().insert(key, value.clone());
+        self.donate_solved(key, value.clone());
         Ok((value, system))
     }
 
@@ -293,6 +286,13 @@ impl Session {
             self.snap.warm().donate_solved(key, value.clone());
         }
         Ok(outcome)
+    }
+
+    /// Memoise a solve in both tiers: the epoch's warm memo for sibling
+    /// sessions, the private tier for this one.
+    fn donate_solved(&self, key: AppKey, value: Relation) {
+        let value = self.snap.warm().donate_solved(key.clone(), value);
+        self.private.donate_solved(key, value);
     }
 
     /// Statistics of the session's most recent fixpoint run, if any.
@@ -378,47 +378,40 @@ impl Catalog for Session {
     /// warm cache; a session that pays a build donates it so sibling
     /// sessions on the same epoch hit the warm path.
     fn index(&self, name: &str, positions: &[usize]) -> Option<Arc<HashIndex>> {
-        let key = (name.to_string(), positions.to_vec());
-        if let Some(idx) = self.indexes.borrow().get(&key) {
-            return Some(idx.clone());
+        if let Some(idx) = self.private.index(name, positions) {
+            return Some(idx);
         }
-        let idx = match self.snap.warm().index(&key) {
+        let warm = self.snap.warm();
+        let idx = match warm.index(name, positions) {
             Some(idx) => {
                 self.count(Counter::WarmIndexHits);
                 idx
             }
             None => {
                 self.count(Counter::WarmIndexMisses);
-                let rel = self.snap.relation(name)?;
-                let idx = Arc::new(HashIndex::build(rel, positions.to_vec()));
-                self.snap.warm().donate_index(key.clone(), idx.clone());
-                idx
+                warm.index_or_build(name, positions, || self.snap.relation(name).cloned())?
             }
         };
-        self.indexes.borrow_mut().insert(key, idx.clone());
-        Some(idx)
+        Some(self.private.donate_index(name, idx))
     }
 
     /// Statistics, same two-level serving as indexes.
     fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
-        if let Some(s) = self.stats.borrow().get(name) {
-            return Some(s.clone());
+        if let Some(s) = self.private.stats(name) {
+            return Some(s);
         }
-        let s = match self.snap.warm().stats(name) {
+        let warm = self.snap.warm();
+        let s = match warm.stats(name) {
             Some(s) => {
                 self.count(Counter::WarmStatsHits);
                 s
             }
             None => {
                 self.count(Counter::WarmStatsMisses);
-                let rel = self.snap.relation(name)?;
-                let s = Arc::new(RelationStats::collect(rel));
-                self.snap.warm().donate_stats(name.to_string(), s.clone());
-                s
+                warm.stats_or_collect(name, || self.snap.relation(name).cloned())?
             }
         };
-        self.stats.borrow_mut().insert(name.to_string(), s.clone());
-        Some(s)
+        Some(self.private.donate_stats(name, s))
     }
 
     fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
@@ -434,14 +427,13 @@ impl Catalog for Session {
     /// immutable, so an entry built by any session on this epoch stays
     /// exactly consistent for every other.
     fn decorr_entry(&self, range: &RangeExpr) -> Option<DecorrCached> {
-        if let Some(e) = self.decorr.borrow().get(range) {
-            return Some(e.clone());
+        if let Some(e) = self.private.decorr(range) {
+            return Some(e);
         }
         match self.snap.warm().decorr(range) {
             Some(e) => {
                 self.count(Counter::WarmDecorrHits);
-                self.decorr.borrow_mut().insert(range.clone(), e.clone());
-                Some(e)
+                Some(self.private.donate_decorr(range, e))
             }
             None => {
                 // The evaluator builds the entry and donates it back
@@ -453,8 +445,8 @@ impl Catalog for Session {
     }
 
     fn cache_decorr_entry(&self, range: &RangeExpr, entry: DecorrCached) {
-        self.snap.warm().donate_decorr(range.clone(), entry.clone());
-        self.decorr.borrow_mut().insert(range.clone(), entry);
+        let entry = self.snap.warm().donate_decorr(range, entry);
+        self.private.donate_decorr(range, entry);
     }
 
     fn apply_constructor(
@@ -468,13 +460,12 @@ impl Catalog for Session {
         // args), so hits from the warm memo — including entries carried
         // over from earlier epochs — can never serve stale data.
         let key = AppKey::new(name, &base, &args, &scalar_args);
-        if let Some(hit) = self.solved.borrow().get(&key) {
-            return Ok(hit.clone());
+        if let Some(hit) = self.private.solved(&key) {
+            return Ok(hit);
         }
         if let Some(hit) = self.snap.warm().solved(&key) {
             self.count(Counter::WarmSolvedHits);
-            self.solved.borrow_mut().insert(key, hit.clone());
-            return Ok(hit);
+            return Ok(self.private.donate_solved(key, hit));
         }
         self.count(Counter::WarmSolvedMisses);
         let cfg = self.fixpoint_cfg(name);
@@ -491,8 +482,7 @@ impl Catalog for Session {
             Err(payload) => return Err(panic_to_eval(payload)),
         };
         *self.last_stats.borrow_mut() = Some(stats);
-        self.snap.warm().donate_solved(key.clone(), value.clone());
-        self.solved.borrow_mut().insert(key, value.clone());
+        self.donate_solved(key, value.clone());
         Ok(value)
     }
 

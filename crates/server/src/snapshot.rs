@@ -9,23 +9,18 @@
 //! memoised content digest, so sessions read digests — and build
 //! content-addressed solve keys — at O(1).
 
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 use dc_calculus::ast::Name;
 use dc_calculus::typeck::ConstructorSig;
-use dc_calculus::{joinplan, DecorrCached, RangeExpr};
+use dc_calculus::{joinplan, CacheSet};
 use dc_core::database::DatabaseParts;
-use dc_core::fixpoint::{AppKey, FixpointConfig};
+use dc_core::fixpoint::FixpointConfig;
 use dc_core::{Constructor, Selector};
-use dc_index::{HashIndex, RelationStats};
 use dc_relation::Relation;
 use dc_value::{FxHashMap, FxHashSet};
 
 use crate::prepare::DefsLookup;
-
-/// Base-relation index cache: (relation name, indexed positions) →
-/// index.
-type IndexCache = FxHashMap<(Name, Vec<usize>), Arc<HashIndex>>;
 
 /// The immutable definition part of the catalog: selectors,
 /// constructors, signatures, and the fixpoint configuration. DDL is
@@ -37,88 +32,6 @@ pub(crate) struct Defs {
     pub(crate) signatures: FxHashMap<Name, ConstructorSig>,
     pub(crate) unchecked: FxHashSet<Name>,
     pub(crate) config: FixpointConfig,
-}
-
-/// Cross-session warm caches, scoped to one snapshot (= one epoch).
-///
-/// Sessions check these behind their private caches and donate what
-/// they build, so an index or a statistics pass is paid once per epoch,
-/// not once per session. Locks are held only for the map probe/insert,
-/// never across a build, and every acquisition tolerates poisoning: a
-/// panicking session (fault injection is part of the test battery) must
-/// not wedge its siblings.
-#[derive(Default)]
-pub(crate) struct Warm {
-    indexes: RwLock<IndexCache>,
-    stats: RwLock<FxHashMap<Name, Arc<RelationStats>>>,
-    decorr: RwLock<FxHashMap<RangeExpr, DecorrCached>>,
-    solved: RwLock<FxHashMap<AppKey, Relation>>,
-}
-
-impl Warm {
-    pub(crate) fn index(&self, key: &(Name, Vec<usize>)) -> Option<Arc<HashIndex>> {
-        self.indexes
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .cloned()
-    }
-
-    pub(crate) fn donate_index(&self, key: (Name, Vec<usize>), idx: Arc<HashIndex>) {
-        self.indexes
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert(idx);
-    }
-
-    pub(crate) fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
-        self.stats
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-            .cloned()
-    }
-
-    pub(crate) fn donate_stats(&self, name: Name, stats: Arc<RelationStats>) {
-        self.stats
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(name)
-            .or_insert(stats);
-    }
-
-    pub(crate) fn decorr(&self, range: &RangeExpr) -> Option<DecorrCached> {
-        self.decorr
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(range)
-            .cloned()
-    }
-
-    pub(crate) fn donate_decorr(&self, range: RangeExpr, entry: DecorrCached) {
-        self.decorr
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(range)
-            .or_insert(entry);
-    }
-
-    pub(crate) fn solved(&self, key: &AppKey) -> Option<Relation> {
-        self.solved
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .cloned()
-    }
-
-    pub(crate) fn donate_solved(&self, key: AppKey, value: Relation) {
-        self.solved
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert(value);
-    }
 }
 
 /// One published, immutable state of the catalog.
@@ -133,7 +46,11 @@ pub struct Snapshot {
     relations: FxHashMap<Name, Relation>,
     catalog_digest: u128,
     defs: Arc<Defs>,
-    warm: Warm,
+    /// Cross-session warm caches, scoped to this epoch. Sessions probe
+    /// them behind their private tier and donate what they build, so
+    /// an index or a statistics pass is paid once per epoch, not once
+    /// per session.
+    warm: CacheSet,
 }
 
 impl Snapshot {
@@ -146,7 +63,7 @@ impl Snapshot {
             unchecked: parts.unchecked,
             config: parts.config,
         });
-        Snapshot::build(0, parts.relations, defs, Warm::default())
+        Snapshot::build(0, parts.relations, defs, CacheSet::default())
     }
 
     /// The successor snapshot after a commit: `relations` is the
@@ -160,54 +77,15 @@ impl Snapshot {
         relations: FxHashMap<Name, Relation>,
         touched: &FxHashSet<Name>,
     ) -> Snapshot {
-        let warm = Warm {
-            indexes: RwLock::new(
-                self.warm
-                    .indexes
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .iter()
-                    .filter(|((name, _), _)| !touched.contains(name))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            ),
-            stats: RwLock::new(
-                self.warm
-                    .stats
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .iter()
-                    .filter(|(name, _)| !touched.contains(*name))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            ),
-            // Decorrelation entries embed materialised joins; an entry
-            // survives the commit iff read-profile analysis of its
-            // range fully resolves and proves it disjoint from every
-            // touched relation (selector predicates chased through the
-            // frozen definitions). Unresolvable or overlapping entries
-            // are dropped — staleness is never risked.
-            decorr: RwLock::new(
-                self.warm
-                    .decorr
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .iter()
-                    .filter(|(range, _)| {
-                        joinplan::base_relations(range, &DefsLookup(&self.defs))
-                            .disjoint_from(touched.iter())
-                    })
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            ),
-            solved: RwLock::new(
-                self.warm
-                    .solved
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            ),
-        };
+        // Decorrelation entries embed materialised joins; an entry
+        // survives the commit iff read-profile analysis of its range
+        // fully resolves and proves it disjoint from every touched
+        // relation (selector predicates chased through the frozen
+        // definitions). Unresolvable or overlapping entries are dropped
+        // — staleness is never risked.
+        let warm = self.warm.successor(touched, |range| {
+            joinplan::base_relations(range, &DefsLookup(&self.defs)).disjoint_from(touched.iter())
+        });
         Snapshot::build(self.epoch + 1, relations, self.defs.clone(), warm)
     }
 
@@ -215,7 +93,7 @@ impl Snapshot {
         epoch: u64,
         relations: FxHashMap<Name, Relation>,
         defs: Arc<Defs>,
-        warm: Warm,
+        warm: CacheSet,
     ) -> Snapshot {
         // Publication forces each relation's digest memo exactly once
         // (O(1) for relations the batch didn't touch — their storage,
@@ -275,7 +153,7 @@ impl Snapshot {
         &self.defs
     }
 
-    pub(crate) fn warm(&self) -> &Warm {
+    pub(crate) fn warm(&self) -> &CacheSet {
         &self.warm
     }
 }
