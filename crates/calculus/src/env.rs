@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use dc_index::{HashIndex, RelationStats};
 use dc_relation::Relation;
+use dc_trace::metrics::{Counter, MetricsRegistry};
 use dc_value::{FxHashMap, FxHashSet, Value};
 
 use crate::ast::{Name, RangeExpr, SelectorDef};
@@ -82,6 +83,17 @@ pub trait Catalog {
     /// exactly consistent with [`Catalog::relation`] for `name`.
     fn index(&self, _name: &str, _positions: &[usize]) -> Option<Arc<HashIndex>> {
         None
+    }
+
+    /// Is an index over the relation `name` *throwaway* — built for
+    /// one evaluation and discarded afterwards, so the join order that
+    /// probes it must also pay its O(|relation|) build? The join planner
+    /// charges that build to the orders that need it (and so prefers
+    /// scanning such a range over probing it). Default: no — base,
+    /// maintained and cached relations keep their indexes, and their
+    /// plans ignore build cost.
+    fn throwaway_index(&self, _name: &str) -> bool {
+        false
     }
 
     /// Statistics of the relation `name` resolves to — if the catalog
@@ -246,6 +258,11 @@ pub struct Overlay<'a> {
     /// preloaded by callers that maintain them incrementally, computed
     /// lazily on planner demand otherwise, harvestable afterwards.
     stats: RefCell<FxHashMap<String, Arc<RelationStats>>>,
+    /// Override names whose indexes the caller will not keep (see
+    /// [`Catalog::throwaway_index`]).
+    throwaway: Vec<String>,
+    /// Where demand-built indexes are counted ([`Counter::IndexBuilds`]).
+    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl<'a> Overlay<'a> {
@@ -256,7 +273,22 @@ impl<'a> Overlay<'a> {
             overrides,
             indexes: RefCell::new(FxHashMap::default()),
             stats: RefCell::new(FxHashMap::default()),
+            throwaway: Vec::new(),
+            metrics: None,
         }
+    }
+
+    /// Count every index this overlay builds on demand into `metrics`.
+    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Overlay<'a> {
+        self.metrics = Some(metrics);
+        self
+    }
+
+    /// Flag the override relation `name` as one whose indexes the
+    /// caller discards after this evaluation, so the planner charges
+    /// their build to the join orders that probe it.
+    pub fn mark_throwaway(&mut self, name: impl Into<String>) {
+        self.throwaway.push(name.into());
     }
 
     /// Install a prebuilt index for an override relation. The index must
@@ -338,12 +370,24 @@ impl Catalog for Overlay<'_> {
                 Some(
                     cache
                         .entry(key)
-                        .or_insert_with(|| Arc::new(HashIndex::build(rel, positions.to_vec())))
+                        .or_insert_with(|| {
+                            if let Some(m) = &self.metrics {
+                                m.inc(Counter::IndexBuilds);
+                            }
+                            Arc::new(HashIndex::build(rel, positions.to_vec()))
+                        })
                         .clone(),
                 )
             }
             None => self.base.index(name, positions),
         }
+    }
+
+    fn throwaway_index(&self, name: &str) -> bool {
+        if self.overrides.iter().any(|(n, _)| n == name) {
+            return self.throwaway.iter().any(|n| n == name);
+        }
+        self.base.throwaway_index(name)
     }
 
     fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
@@ -446,6 +490,24 @@ mod tests {
             ov.relation("S"),
             Err(EvalError::UnknownRelation(_))
         ));
+    }
+
+    #[test]
+    fn overlay_flags_throwaway_overrides_and_counts_builds() {
+        let cat = MapCatalog::new().with_relation("R", rel());
+        let metrics = Arc::new(MetricsRegistry::default());
+        let mut ov = Overlay::new(&cat, vec![("D".into(), rel()), ("K".into(), rel())])
+            .with_metrics(metrics.clone());
+        ov.mark_throwaway("D");
+        assert!(ov.throwaway_index("D"));
+        assert!(!ov.throwaway_index("K"));
+        assert!(!ov.throwaway_index("R"), "base names answer for themselves");
+        // One build per (name, positions); repeats are served cached.
+        assert!(ov.index("D", &[0]).is_some());
+        assert!(ov.index("D", &[0]).is_some());
+        assert!(ov.index("K", &[0]).is_some());
+        assert!(ov.index("R", &[0]).is_none());
+        assert_eq!(metrics.snapshot().index_builds, 2);
     }
 
     #[test]

@@ -530,8 +530,11 @@ impl<'a> Evaluator<'a> {
                 ranges.push(self.eval_range(r, bindings)?);
             }
             let schema = self.branch_schema(branch, &ranges, bindings)?;
-            let out = match &mut result {
-                none @ None => none.insert(Relation::new(schema)),
+            // Taken out of the `Option` (not borrowed from it), so the
+            // branch evaluates straight into the result while `&mut
+            // self` stays free for the recursive loops.
+            let mut out = match result.take() {
+                None => Relation::new(schema),
                 Some(rel) => {
                     if !rel.schema().union_compatible(&schema) {
                         return Err(EvalError::Type(dc_value::TypeError::SchemaMismatch {
@@ -541,11 +544,8 @@ impl<'a> Evaluator<'a> {
                     rel
                 }
             };
-            // `out` cannot be borrowed across the recursive loop that
-            // needs `&mut self`; collect into a scratch relation.
-            let mut scratch = Relation::new(out.schema().clone());
-            self.eval_branch(branch, &ranges, bindings, &mut scratch)?;
-            dc_relation::algebra::union_into(out, &scratch)?;
+            self.eval_branch(branch, &ranges, bindings, &mut out)?;
+            result = Some(out);
         }
         // The empty-branches guard above filled `result` on the first
         // iteration; report rather than panic if that ever changes.
@@ -592,7 +592,18 @@ impl<'a> Evaluator<'a> {
                         }
                     })
                     .collect();
-                let (plan, rationale) = joinplan::plan_branch_traced(branch, &schemas, &stats);
+                // Ranges whose index the catalog would build for this
+                // evaluation only (the solver's per-round deltas): the
+                // planner charges that build to the orders probing them.
+                let throwaway: Vec<bool> = branch
+                    .bindings
+                    .iter()
+                    .map(|(_, r)| {
+                        matches!(r, RangeExpr::Rel(name) if self.catalog.throwaway_index(name))
+                    })
+                    .collect();
+                let (plan, rationale) =
+                    joinplan::plan_branch_traced(branch, &schemas, &stats, &throwaway);
                 self.note_access_path(branch, &plan, &rationale, &schemas, &stats);
                 if plan.has_probe() {
                     if let Some(steps) = self.compile_plan(branch, &plan, ranges, bindings)? {
@@ -939,11 +950,19 @@ impl<'a> Evaluator<'a> {
             if let Some(hit) = self.index_cache.get(&key) {
                 return Ok(hit.clone());
             }
-            let idx = Arc::new(HashIndex::build(rel, positions.to_vec()));
+            let idx = self.build_index(rel, positions);
             self.index_cache.insert(key, idx.clone());
             return Ok(idx);
         }
-        Ok(Arc::new(HashIndex::build(rel, positions.to_vec())))
+        Ok(self.build_index(rel, positions))
+    }
+
+    /// One counted [`HashIndex::build`] ([`Counter::IndexBuilds`]).
+    fn build_index(&self, rel: &Relation, positions: &[usize]) -> Arc<HashIndex> {
+        if let Some(m) = &self.metrics {
+            m.inc(Counter::IndexBuilds);
+        }
+        Arc::new(HashIndex::build(rel, positions.to_vec()))
     }
 
     /// Statistics for a probed range. Catalogs that maintain statistics

@@ -28,7 +28,9 @@
 //!   the System-R `1/distinct` equality selectivity: at each step it
 //!   picks the cheapest position, preferring positions whose equality
 //!   atoms are fully bound by earlier steps (an index probe) over full
-//!   scans.
+//!   scans. [`plan_branch_traced`] also takes the ranges whose index
+//!   would be built for one evaluation only, and charges that build to
+//!   the orders that probe them.
 //!
 //! The plan is *advisory*: the executor re-evaluates the full predicate
 //! for every surviving combination, so a plan can only skip
@@ -737,7 +739,7 @@ pub fn estimate_branch_rows(branch: &Branch, schemas: &[&Schema], stats: &[Relat
 /// assert!(matches!(plan.steps[1].access, Access::Probe(_)));
 /// ```
 pub fn plan_branch(branch: &Branch, schemas: &[&Schema], stats: &[RelationStats]) -> BranchPlan {
-    plan_branch_traced(branch, schemas, stats).0
+    plan_branch_traced(branch, schemas, stats, &[]).0
 }
 
 /// The System-R numbers behind one [`plan_branch_traced`] ordering
@@ -750,17 +752,32 @@ pub struct StepRationale {
     pub cardinality: usize,
     /// Product of usable equality-atom selectivities (1.0 for scans).
     pub selectivity: f64,
-    /// `cardinality × selectivity` — the ordering key that won.
+    /// `cardinality × selectivity`.
     pub estimate: f64,
+    /// Throwaway-index builds charged to this pick: the cardinality of
+    /// every throwaway range the order still has to probe, this step's
+    /// own included when it probes one (0 when no range is throwaway).
+    /// `estimate + build` is the ordering key that won.
+    pub build: f64,
 }
 
 /// [`plan_branch`] plus the per-step ordering rationale, in step
 /// order. The rationale is what `EXPLAIN` and the planner trace
 /// report; `plan_branch` discards it.
+///
+/// `throwaway[p]` marks a range whose index would be built for this
+/// evaluation only (an empty slice marks none). Such an index costs a
+/// pass over the range, so it is charged to the join order that needs
+/// it: every pick pays the build of each throwaway range it leaves to
+/// be probed later (and of its own range, when it probes it). For a
+/// two-binding join this scans the throwaway side and probes the other
+/// side's kept index, whichever side is larger. With no throwaway range
+/// every charge is 0 and plans are exactly the plain System-R ones.
 pub fn plan_branch_traced(
     branch: &Branch,
     schemas: &[&Schema],
     stats: &[RelationStats],
+    throwaway: &[bool],
 ) -> (BranchPlan, Vec<StepRationale>) {
     let n = branch.bindings.len();
     debug_assert_eq!(schemas.len(), n);
@@ -773,15 +790,30 @@ pub fn plan_branch_traced(
                 cardinality: stats[p].cardinality,
                 selectivity: 1.0,
                 estimate: stats[p].cardinality as f64,
+                build: 0.0,
             })
             .collect();
         return (BranchPlan::all_scans(n), rationale);
     }
+    // Build cost of each position's index if it ends up probed: its
+    // cardinality for a throwaway range that some atom could probe.
+    let build_of: Vec<f64> = (0..n)
+        .map(|p| {
+            let probeable = atoms.iter().any(|a| a.position == p);
+            if probeable && throwaway.get(p).copied().unwrap_or(false) {
+                stats[p].cardinality as f64
+            } else {
+                0.0
+            }
+        })
+        .collect();
     let mut bound = vec![false; n];
     let mut steps = Vec::with_capacity(n);
     let mut rationale = Vec::with_capacity(n);
     while steps.len() < n {
-        let mut best: Option<(f64, usize, Vec<EqAtom>)> = None;
+        // Builds still pending over every unbound position.
+        let pending: f64 = (0..n).filter(|&p| !bound[p]).map(|p| build_of[p]).sum();
+        let mut best: Option<(f64, f64, f64, usize, Vec<EqAtom>)> = None;
         for p in 0..n {
             if bound[p] {
                 continue;
@@ -803,23 +835,30 @@ pub fn plan_branch_traced(
                     est *= stats[p].eq_selectivity(pos);
                 }
             }
+            // Scanning `p` now saves its build; probing it pays it.
+            let build = if usable.is_empty() {
+                pending - build_of[p]
+            } else {
+                pending
+            };
+            let cost = est + build;
             // Prefer probes over scans at equal estimates.
             let better = match &best {
                 None => true,
-                Some((best_est, _, best_atoms)) => {
-                    est < *best_est
-                        || (est == *best_est && best_atoms.is_empty() && !usable.is_empty())
+                Some((best_cost, _, _, _, best_atoms)) => {
+                    cost < *best_cost
+                        || (cost == *best_cost && best_atoms.is_empty() && !usable.is_empty())
                 }
             };
             if better {
-                best = Some((est, p, usable));
+                best = Some((cost, est, build, p, usable));
             }
         }
         // `steps.len() < n` guarantees at least one unbound position,
         // so the inner loop always proposes a candidate. If the
         // invariant were ever violated, fall back to scanning the
         // remaining positions rather than panicking in the planner.
-        let Some((est, p, usable)) = best else {
+        let Some((_, est, build, p, usable)) = best else {
             debug_assert!(false, "an unbound position always exists");
             for (p, b) in bound.iter().enumerate() {
                 if !b {
@@ -832,6 +871,7 @@ pub fn plan_branch_traced(
                         cardinality: stats[p].cardinality,
                         selectivity: 1.0,
                         estimate: stats[p].cardinality as f64,
+                        build: 0.0,
                     });
                 }
             }
@@ -848,6 +888,7 @@ pub fn plan_branch_traced(
                 est / cardinality as f64
             },
             estimate: est,
+            build,
         });
         let access = if usable.is_empty() {
             Access::Scan
@@ -1274,6 +1315,113 @@ mod tests {
             panic!("second step must probe, got {plan:?}");
         };
         assert_eq!(atoms.len(), 1);
+    }
+
+    /// The shape of a semi-naive Linear branch: `r` ranges over a
+    /// relation whose index is kept, `d` over a per-round delta.
+    fn linear_branch() -> Branch {
+        Branch::projecting(
+            vec![attr("r", "front"), attr("d", "back")],
+            vec![("r".into(), rel("Rel")), ("d".into(), rel("Delta"))],
+            eq(attr("r", "back"), attr("d", "front")),
+        )
+    }
+
+    fn card(cardinality: usize) -> RelationStats {
+        RelationStats {
+            cardinality,
+            distinct: vec![cardinality, cardinality],
+        }
+    }
+
+    fn steps_of(plan: &BranchPlan) -> Vec<(usize, bool)> {
+        plan.steps
+            .iter()
+            .map(|s| (s.position, matches!(s.access, Access::Probe(_))))
+            .collect()
+    }
+
+    #[test]
+    fn throwaway_side_larger_than_the_indexed_side_is_scanned() {
+        let schema = edge_schema();
+        let stats = [card(128), card(256)];
+        // Plain System-R: scan the smaller `r`, build an index on `d`.
+        let (plain, _) = plan_branch_traced(&linear_branch(), &[&schema, &schema], &stats, &[]);
+        assert_eq!(steps_of(&plain), vec![(0, false), (1, true)]);
+        // `d`'s index would be thrown away: scanning `r` would cost
+        // 128 + a 256-tuple build, so `d` is scanned and `r` probed.
+        let (plan, rationale) = plan_branch_traced(
+            &linear_branch(),
+            &[&schema, &schema],
+            &stats,
+            &[false, true],
+        );
+        assert_eq!(steps_of(&plan), vec![(1, false), (0, true)]);
+        assert_eq!(rationale[0].estimate, 256.0);
+        assert_eq!(rationale[0].build, 0.0, "scanning the delta builds nothing");
+        assert_eq!(rationale[1].build, 0.0);
+    }
+
+    #[test]
+    fn throwaway_side_smaller_than_the_indexed_side_keeps_the_plan() {
+        let schema = edge_schema();
+        let stats = [card(256), card(128)];
+        let flagged = plan_branch_traced(
+            &linear_branch(),
+            &[&schema, &schema],
+            &stats,
+            &[false, true],
+        );
+        let plain = plan_branch_traced(&linear_branch(), &[&schema, &schema], &stats, &[]);
+        assert_eq!(steps_of(&flagged.0), vec![(1, false), (0, true)]);
+        assert_eq!(flagged, plain);
+    }
+
+    #[test]
+    fn no_throwaway_side_plans_exactly_as_plain_system_r() {
+        let schema = edge_schema();
+        for stats in [
+            [card(128), card(256)],
+            [card(256), card(128)],
+            [card(7), card(7)],
+        ] {
+            let plain = plan_branch_traced(&linear_branch(), &[&schema, &schema], &stats, &[]);
+            let unflagged = plan_branch_traced(
+                &linear_branch(),
+                &[&schema, &schema],
+                &stats,
+                &[false, false],
+            );
+            assert_eq!(plain, unflagged);
+        }
+        // Pinned: the smaller side is scanned, the other probed, and
+        // every rationale number is the plain System-R one.
+        let (plan, rationale) = plan_branch_traced(
+            &linear_branch(),
+            &[&schema, &schema],
+            &[card(128), card(256)],
+            &[],
+        );
+        assert_eq!(steps_of(&plan), vec![(0, false), (1, true)]);
+        assert_eq!(
+            rationale,
+            vec![
+                StepRationale {
+                    position: 0,
+                    cardinality: 128,
+                    selectivity: 1.0,
+                    estimate: 128.0,
+                    build: 0.0,
+                },
+                StepRationale {
+                    position: 1,
+                    cardinality: 256,
+                    selectivity: 1.0 / 256.0,
+                    estimate: 1.0,
+                    build: 0.0,
+                },
+            ]
+        );
     }
 
     #[test]

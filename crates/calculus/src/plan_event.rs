@@ -33,8 +33,11 @@ pub struct AccessStep {
     /// Product of equality-atom selectivities usable at pick time
     /// (1.0 for a scan).
     pub selectivity: f64,
-    /// `cardinality × selectivity` — the ordering key.
+    /// `cardinality × selectivity`.
     pub estimate: f64,
+    /// Throwaway-index builds charged at pick time (see
+    /// [`StepRationale::build`]); `estimate + build` is the ordering key.
+    pub build: f64,
 }
 
 impl AccessStep {
@@ -160,6 +163,7 @@ impl PlanEvent {
                 cardinality: r.cardinality,
                 selectivity: r.selectivity,
                 estimate: r.estimate,
+                build: r.build,
             })
             .collect();
         PlanEvent::AccessPath {
@@ -181,7 +185,7 @@ impl fmt::Display for PlanEvent {
                     if step.is_probe() {
                         write!(
                             f,
-                            " probe {} on [{}] (card={}, sel={:.3}, est={:.0});",
+                            " probe {} on [{}] (card={}, sel={:.3}, est={:.0}",
                             step.var,
                             step.probe_attrs.join(", "),
                             step.cardinality,
@@ -191,10 +195,14 @@ impl fmt::Display for PlanEvent {
                     } else {
                         write!(
                             f,
-                            " scan {} (card={}, est={:.0});",
+                            " scan {} (card={}, est={:.0}",
                             step.var, step.cardinality, step.estimate
                         )?;
                     }
+                    if step.build > 0.0 {
+                        write!(f, ", build={:.0}", step.build)?;
+                    }
+                    write!(f, ");")?;
                 }
                 write!(f, " branch est={estimated_rows:.0} rows")
             }
@@ -373,6 +381,7 @@ mod tests {
                 cardinality: 100,
                 selectivity: 1.0,
                 estimate: 100.0,
+                build: 0.0,
             },
             AccessStep {
                 position: 1,
@@ -381,6 +390,7 @@ mod tests {
                 cardinality: 100,
                 selectivity: 0.02,
                 estimate: 2.0,
+                build: 0.0,
             },
         ];
         let ex = Explanation::new(

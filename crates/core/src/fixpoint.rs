@@ -293,6 +293,11 @@ struct State {
     index: FxHashMap<AppKey, usize>,
     current: Vec<Relation>,
     delta: Vec<Relation>,
+    /// Statistics of each equation's last committed delta, built in the
+    /// commit loop's walk over the delta (the walk that also maintains
+    /// `current_stats`) and preloaded under the next round's delta
+    /// markers — once per (equation, round), never per task.
+    delta_stats: Vec<Arc<RelationStats>>,
     /// Per-equation hash indexes over the *accumulated* value, keyed by
     /// indexed positions. Registered the first time the join executor
     /// probes the value, then maintained incrementally: each committed
@@ -398,6 +403,8 @@ impl State {
         let i = self.equations.len();
         self.current.push(Relation::new(ctor.result.clone()));
         self.delta.push(Relation::new(ctor.result.clone()));
+        self.delta_stats
+            .push(Arc::new(RelationStats::empty(ctor.result.arity())));
         self.current_indexes.push(FxHashMap::default());
         self.override_indexes.push(FxHashMap::default());
         self.current_stats
@@ -577,10 +584,15 @@ impl Catalog for SolverCatalog<'_> {
 /// Conform a computed relation to the declared result schema (attribute
 /// names of equation values must match the declared result type, since
 /// other bodies reference them by name).
-fn conform(rel: Relation, schema: &dc_value::Schema) -> Result<Relation, EvalError> {
+fn conform(mut rel: Relation, schema: &dc_value::Schema) -> Result<Relation, EvalError> {
     if rel.schema() == schema {
         // Already exactly conformed (the semi-naive accumulator path):
         // tuples were key-checked on insertion under this very schema.
+        return Ok(rel);
+    }
+    // Same key (or none on both sides): the value's key map already
+    // enforced the result's key, so only the attribute names change.
+    if rel.relabel(schema.clone()).is_ok() {
         return Ok(rel);
     }
     if !rel.schema().union_compatible(schema) {
@@ -929,6 +941,7 @@ fn solve_inner(
         index: FxHashMap::default(),
         current: Vec::new(),
         delta: Vec::new(),
+        delta_stats: Vec::new(),
         current_indexes: Vec::new(),
         override_indexes: Vec::new(),
         current_stats: Vec::new(),
@@ -1135,7 +1148,7 @@ fn solve_inner(
             );
             match cfg.strategy {
                 Strategy::SemiNaive => {
-                    absorb(&round_current[task.eq], &mut fresh[task.eq], &value).map_err(|e| {
+                    absorb(&round_current[task.eq], &mut fresh[task.eq], value).map_err(|e| {
                         enrich_solve_error(e, &state, &meter, task.eq, iterations - 1)
                     })?;
                 }
@@ -1188,7 +1201,9 @@ fn solve_inner(
                         // indexes, and its statistics all stand; only
                         // the per-round delta resets.
                         if !st.delta[i].is_empty() {
-                            st.delta[i] = Relation::new(st.current[i].schema().clone());
+                            let schema = st.current[i].schema().clone();
+                            st.delta_stats[i] = Arc::new(RelationStats::empty(schema.arity()));
+                            st.delta[i] = Relation::new(schema);
                         }
                     }
                     RoundResult::Full(new_val) => {
@@ -1211,6 +1226,7 @@ fn solve_inner(
                             st.current_indexes[i].clear();
                             st.current_stats[i] = StatsBuilder::new(new_val.schema().arity());
                         }
+                        st.delta_stats[i] = Arc::new(RelationStats::collect(&added));
                         st.delta[i] = added;
                         st.current[i] = new_val;
                     }
@@ -1232,15 +1248,15 @@ fn solve_inner(
                                 algebra::union_into(acc, &added).map_err(EvalError::from)?;
                             }
                         }
-                        st.delta[i] = added.clone();
-                        // Split-borrow so the three per-equation
-                        // structures update in one pass.
+                        // Split-borrow so the per-equation structures
+                        // update in one pass; the walk that maintains
+                        // the current-value statistics also builds the
+                        // delta's own, which the next round plans with.
                         let st = &mut *st;
                         algebra::union_into(&mut st.current[i], &added).map_err(EvalError::from)?;
                         maintain_indexes(&mut st.current_indexes[i], &added);
-                        for t in added.iter() {
-                            st.current_stats[i].add(t);
-                        }
+                        st.delta_stats[i] = Arc::new(st.current_stats[i].absorb_delta(&added));
+                        st.delta[i] = added;
                     }
                 }
             }
@@ -1568,11 +1584,24 @@ fn prepare_equation_tasks(
 /// compatibility and the key constraint within the delta are enforced
 /// here; key conflicts between the delta and the accumulated value
 /// surface when the commit phase unions the delta in.
-fn absorb(current: &Relation, fresh: &mut Relation, part: &Relation) -> Result<(), EvalError> {
+///
+/// The round's first value for an equation *becomes* its delta: it is
+/// filtered in place against the accumulator and re-labelled with the
+/// result schema in O(1), so each derived tuple is hashed once into the
+/// task value and never re-inserted. That needs a key-compatible
+/// re-label (see [`Relation::relabel`]) — the value's own key map then
+/// already enforced the result's key; otherwise, and for every later
+/// value of the round, the tuples are inserted one by one.
+fn absorb(current: &Relation, fresh: &mut Relation, mut part: Relation) -> Result<(), EvalError> {
     if !current.schema().union_compatible(part.schema()) {
         return Err(EvalError::Type(dc_value::TypeError::SchemaMismatch {
             context: "constructor body value does not match declared result type".into(),
         }));
+    }
+    if fresh.is_empty() && part.relabel(fresh.schema().clone()).is_ok() {
+        part.retain(|t| !current.contains(t));
+        *fresh = part;
+        return Ok(());
     }
     for t in part.iter() {
         if !current.contains(t) {
@@ -1614,16 +1643,23 @@ fn linear_task(
         let app = resolve_recursive_app(catalog, eq_idx, branch_idx, overrides, &branch, pos)?;
         let st = catalog.state.borrow();
         if pos == delta_pos {
-            let rel = if full {
-                st.current[app].clone()
+            // The delta's statistics were built once, at the commit
+            // that produced it (or are the maintained current-value
+            // ones, for the full first round): no task collects them.
+            let (rel, stats) = if full {
+                (
+                    st.current[app].clone(),
+                    Arc::new(st.current_stats[app].snapshot()),
+                )
             } else {
-                st.delta[app].clone()
+                (st.delta[app].clone(), st.delta_stats[app].clone())
             };
             drop(st);
             // The delta side is the branch's scan side.
             weight = rel.len();
             let marker = format!("{DELTA_MARKER}{pos}");
             branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
+            preload_stats.push((marker.clone(), stats));
             extra_overrides.push((marker, rel));
         } else {
             let marker = format!("{CURRENT_MARKER}{pos}");
@@ -1927,6 +1963,7 @@ fn warm_prepare(
         for i in 0..n {
             st.current[i] = prev.equations[i].value.clone();
             st.delta[i] = Relation::new(prev.equations[i].value.schema().clone());
+            st.delta_stats[i] = Arc::new(RelationStats::empty(prev.equations[i].result.arity()));
             st.current_indexes[i] = prev.equations[i].indexes.clone();
             st.current_stats[i] = prev.equations[i].stats.clone();
             st.equations[i].initialized = true;
@@ -1991,6 +2028,7 @@ fn warm_task(
     // markers.
     let marker = format!("{DELTA_MARKER}b{delta_pos}");
     branch.bindings[delta_pos].1 = RangeExpr::Rel(marker.clone());
+    preload_stats.push((marker.clone(), Arc::new(RelationStats::collect(&delta_rel))));
     extra_overrides.push((marker, delta_rel));
 
     for &pos in rec_positions {
@@ -2052,6 +2090,16 @@ fn run_task(
     }
     let cat = SnapshotCatalog::new(snap.clone());
     let mut overlay = Overlay::new(&cat, task.overrides.clone());
+    if let Some(m) = &knobs.metrics {
+        overlay = overlay.with_metrics(m.clone());
+    }
+    // `replay_harvest` drops every index over a delta marker, so the
+    // planner must charge their builds to the orders that need them.
+    for (name, _) in &task.overrides {
+        if name.starts_with(DELTA_MARKER) {
+            overlay.mark_throwaway(name.clone());
+        }
+    }
     for (name, idx) in &task.preload_indexes {
         overlay.preload_index(name.clone(), idx.clone());
     }
@@ -2506,6 +2554,62 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, EvalError::NonConvergent { .. }));
+    }
+
+    /// A §3.1 scene: `rows` rows of `depth` objects in front of one
+    /// another, an item stacked on every second object, and one
+    /// cross-row edge per row.
+    fn scene(rows: usize, depth: usize) -> (Relation, Relation) {
+        let mut infront = Relation::new(crate::paper::infrontrel());
+        let mut ontop = Relation::new(crate::paper::ontoprel());
+        for r in 0..rows {
+            for d in 0..depth {
+                if d + 1 < depth {
+                    infront
+                        .insert(tuple![format!("o{r}_{d}"), format!("o{r}_{}", d + 1)])
+                        .unwrap();
+                }
+                if d % 2 == 0 {
+                    ontop
+                        .insert(tuple![format!("i{r}_{d}"), format!("o{r}_{d}")])
+                        .unwrap();
+                }
+            }
+            let d = (r * 7) % (depth - 1);
+            infront
+                .insert(tuple![
+                    format!("o{r}_{d}"),
+                    format!("o{}_{}", (r + 1) % rows, d + 1)
+                ])
+                .unwrap();
+        }
+        (infront, ontop)
+    }
+
+    /// Pins the index builds of one cold solve of the §3.1 mutual
+    /// `ahead`/`above` system: the four builds are the formal `Rel`
+    /// join-column indexes of the two equations, one per Linear task of
+    /// the first differential round (harvested, then preloaded in every
+    /// later round). The per-round deltas are scanned, never indexed,
+    /// because the planner charges a throwaway delta index to the join
+    /// order that would build it — without that rule this solve builds
+    /// 17 indexes.
+    #[test]
+    fn mutual_solve_builds_no_per_round_delta_indexes() {
+        let (infront, ontop) = scene(4, 16);
+        let src = TestSource {
+            catalog: MapCatalog::new(),
+            ctors: vec![crate::paper::ahead_mutual(), crate::paper::above()],
+        };
+        let metrics = Arc::new(MetricsRegistry::default());
+        let cfg = FixpointConfig {
+            threads: 1,
+            metrics: Some(metrics.clone()),
+            ..cfg(Strategy::SemiNaive)
+        };
+        let (out, stats) = solve(&src, "ahead", infront, vec![ontop], vec![], &cfg).unwrap();
+        assert_eq!((stats.iterations, out.len()), (17, 654));
+        assert_eq!(metrics.snapshot().index_builds, 4);
     }
 
     /// Mutual recursion exactly as §3.1: `ahead` and `above` defined

@@ -48,6 +48,14 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
+    /// The statistics of an empty relation of the given arity.
+    pub fn empty(arity: usize) -> RelationStats {
+        RelationStats {
+            cardinality: 0,
+            distinct: vec![0; arity],
+        }
+    }
+
     /// Collect statistics in one pass over the relation.
     pub fn collect(rel: &Relation) -> RelationStats {
         let arity = rel.schema().arity();
@@ -132,6 +140,26 @@ impl StatsBuilder {
         }
     }
 
+    /// Absorb every tuple of `delta` — a relation of genuinely new
+    /// tuples — and return `delta`'s own statistics, collected in the
+    /// same pass. This is the semi-naive commit site: one walk over the
+    /// round's delta maintains the accumulated value's statistics and
+    /// builds the statistics the next round plans the delta with.
+    pub fn absorb_delta(&mut self, delta: &Relation) -> RelationStats {
+        let mut seen: Vec<FxHashSet<&Value>> =
+            (0..self.seen.len()).map(|_| FxHashSet::default()).collect();
+        for t in delta.iter() {
+            self.add(t);
+            for (slot, v) in seen.iter_mut().zip(t.iter()) {
+                slot.insert(v);
+            }
+        }
+        RelationStats {
+            cardinality: delta.len(),
+            distinct: seen.into_iter().map(|s| s.len()).collect(),
+        }
+    }
+
     /// Number of tuples absorbed so far.
     pub fn cardinality(&self) -> usize {
         self.cardinality
@@ -173,6 +201,7 @@ mod tests {
         assert_eq!(s.cardinality, 0);
         assert_eq!(s.distinct, vec![0]);
         assert_eq!(s.eq_selectivity(0), 1.0);
+        assert_eq!(RelationStats::empty(1), s);
     }
 
     #[test]
@@ -207,6 +236,23 @@ mod tests {
         assert_eq!(s.cardinality, 2);
         assert_eq!(s.distinct, vec![1, 2]);
         assert_eq!(b.cardinality(), 2);
+    }
+
+    #[test]
+    fn absorb_delta_maintains_and_collects_in_one_pass() {
+        let mut b = StatsBuilder::from_relation(&rel());
+        let delta = Relation::from_tuples(
+            rel().schema().clone(),
+            vec![tuple!["c", "d"], tuple!["d", "d"]],
+        )
+        .unwrap();
+        let d = b.absorb_delta(&delta);
+        assert_eq!(d, RelationStats::collect(&delta));
+        let mut all = rel();
+        for t in delta.iter() {
+            all.insert(t.clone()).unwrap();
+        }
+        assert_eq!(b.snapshot(), RelationStats::collect(&all));
     }
 
     #[test]

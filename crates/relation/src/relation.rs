@@ -136,8 +136,19 @@ impl Relation {
     ///
     /// All checks (duplicate, key conflict) run against the shared
     /// storage *before* [`Arc::make_mut`], so rejected or no-op inserts
-    /// on a shared relation never trigger a copy.
+    /// on a shared relation never trigger a copy. Unshared storage
+    /// without a proper key takes the one-hash path: the set's own
+    /// `insert` is the duplicate check.
     pub fn insert_unchecked(&mut self, tuple: Tuple) -> Result<bool, RelationError> {
+        if self.key_map.is_none() {
+            if let Some(store) = Arc::get_mut(&mut self.tuples) {
+                let inserted = store.set.insert(tuple);
+                if inserted {
+                    store.digest.take();
+                }
+                return Ok(inserted);
+            }
+        }
         if self.tuples.set.contains(&tuple) {
             return Ok(false);
         }
@@ -170,6 +181,73 @@ impl Relation {
             Arc::make_mut(map).remove(&self.schema.key_of(tuple));
         }
         true
+    }
+
+    /// Keep only the tuples `keep` accepts, in place. Copy-on-write:
+    /// shared storage is never mutated — the survivors move into a new
+    /// storage (one pass, no full copy first), so other handles keep
+    /// their value. The key map drops the removed tuples' keys, and the
+    /// memoised digest is cleared whenever the content changed.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Tuple) -> bool) {
+        let before = self.len();
+        match Arc::get_mut(&mut self.tuples) {
+            Some(store) => {
+                let (schema, key_map) = (&self.schema, &mut self.key_map);
+                store.set.retain(|t| {
+                    let kept = keep(t);
+                    if !kept {
+                        if let Some(map) = key_map {
+                            Arc::make_mut(map).remove(&schema.key_of(t));
+                        }
+                    }
+                    kept
+                });
+                if store.set.len() != before {
+                    store.digest.take();
+                }
+            }
+            None => {
+                let set: FxHashSet<Tuple> = self
+                    .tuples
+                    .set
+                    .iter()
+                    .filter(|t| keep(t))
+                    .cloned()
+                    .collect();
+                if set.len() == before {
+                    return;
+                }
+                if let Some(map) = &mut self.key_map {
+                    *map = Arc::new(
+                        set.iter()
+                            .map(|t| (self.schema.key_of(t), t.clone()))
+                            .collect(),
+                    );
+                }
+                self.tuples = Arc::new(TupleStore::new(set));
+            }
+        }
+    }
+
+    /// Re-label the relation with another schema in O(1): the tuples,
+    /// the key map and the memoised digest stay as they are. Legal only
+    /// when the schemas are union-compatible and designate the same key
+    /// (both none, or the same positions) — a different key would leave
+    /// the key map describing the wrong projection, so that is refused
+    /// with the relation unchanged.
+    pub fn relabel(&mut self, schema: Schema) -> Result<(), RelationError> {
+        let same_key = match (self.schema.has_proper_key(), schema.has_proper_key()) {
+            (false, false) => true,
+            (true, true) => self.schema.key() == schema.key(),
+            _ => false,
+        };
+        if !same_key || !self.schema.union_compatible(&schema) {
+            return Err(RelationError::Incompatible {
+                context: "re-label".into(),
+            });
+        }
+        self.schema = schema;
+        Ok(())
     }
 
     /// Remove all tuples. Shared storage is released, not cleared in
@@ -660,6 +738,135 @@ mod tests {
         }
         // n = 0 is clamped to one shard.
         assert_eq!(r.hash_shards(0).len(), 1);
+    }
+
+    #[test]
+    fn insert_unchecked_one_hash_path_keeps_set_semantics_and_digest() {
+        let mut a = Relation::new(infrontrel());
+        assert!(a.insert_unchecked(tuple!["a", "b"]).unwrap());
+        let d = a.digest();
+        // A duplicate on unique storage is a no-op that keeps the memo.
+        assert!(!a.insert_unchecked(tuple!["a", "b"]).unwrap());
+        assert_eq!(a.cached_digest(), Some(d));
+        // A new tuple clears it.
+        assert!(a.insert_unchecked(tuple!["b", "c"]).unwrap());
+        assert_eq!(a.cached_digest(), None);
+        // Shared storage still detaches exactly the mutated handle.
+        let b = a.clone();
+        assert!(!a.insert_unchecked(tuple!["a", "b"]).unwrap());
+        assert!(Relation::shares_storage(&a, &b));
+        assert!(a.insert_unchecked(tuple!["c", "d"]).unwrap());
+        assert!(!Relation::shares_storage(&a, &b));
+        assert_eq!((a.len(), b.len()), (3, 2));
+    }
+
+    #[test]
+    fn retain_on_shared_storage_leaves_the_other_handle_intact() {
+        let mut a = Relation::from_tuples(
+            infrontrel(),
+            vec![tuple!["a", "b"], tuple!["b", "c"], tuple!["c", "d"]],
+        )
+        .unwrap();
+        let before = a.digest();
+        let b = a.clone();
+        a.retain(|t| t != &tuple!["b", "c"]);
+        assert_eq!(a.len(), 2);
+        assert!(!a.contains(&tuple!["b", "c"]));
+        assert_eq!(b.len(), 3, "the other handle keeps its value");
+        assert_eq!(b.cached_digest(), Some(before));
+        assert_eq!(a.cached_digest(), None, "the memo is cleared");
+        assert_ne!(a.digest(), before);
+        // A retain that keeps everything neither copies nor clears.
+        let mut c = b.clone();
+        c.retain(|_| true);
+        assert!(Relation::shares_storage(&b, &c));
+        assert_eq!(c.cached_digest(), Some(before));
+    }
+
+    #[test]
+    fn retain_on_unique_storage_clears_the_digest_only_on_change() {
+        let mut a =
+            Relation::from_tuples(infrontrel(), vec![tuple!["a", "b"], tuple!["b", "c"]]).unwrap();
+        let d = a.digest();
+        a.retain(|_| true);
+        assert_eq!(a.cached_digest(), Some(d));
+        a.retain(|t| t == &tuple!["a", "b"]);
+        assert_eq!(a.cached_digest(), None);
+        assert_eq!(a.sorted_tuples(), vec![tuple!["a", "b"]]);
+    }
+
+    #[test]
+    fn retain_keeps_the_key_map_consistent() {
+        for shared in [false, true] {
+            let mut a =
+                Relation::from_tuples(keyed(), vec![tuple!["bolt", 1i64], tuple!["nut", 2i64]])
+                    .unwrap();
+            let other = shared.then(|| a.clone());
+            a.retain(|t| t != &tuple!["bolt", 1i64]);
+            assert_eq!(a.get_by_key(&tuple!["bolt"]), None);
+            assert_eq!(a.get_by_key(&tuple!["nut"]), Some(&tuple!["nut", 2i64]));
+            // The freed key slot accepts a new tuple; the kept one
+            // still guards its key.
+            a.insert(tuple!["bolt", 7i64]).unwrap();
+            assert!(a.insert(tuple!["nut", 3i64]).is_err());
+            if let Some(o) = other {
+                assert_eq!(o.get_by_key(&tuple!["bolt"]), Some(&tuple!["bolt", 1i64]));
+                assert_eq!(o.len(), 2);
+            }
+        }
+    }
+
+    #[test]
+    fn relabel_is_o1_on_shared_storage_and_refuses_key_mismatch() {
+        let mut a = Relation::from_tuples(infrontrel(), vec![tuple!["a", "b"]]).unwrap();
+        let d = a.digest();
+        let b = a.clone();
+        let head_tail = Schema::of(&[("head", Domain::Str), ("tail", Domain::Str)]);
+        a.relabel(head_tail.clone()).unwrap();
+        assert_eq!(a.schema(), &head_tail);
+        assert_eq!(
+            b.schema(),
+            &infrontrel(),
+            "the other handle keeps its schema"
+        );
+        assert!(Relation::shares_storage(&a, &b), "no tuple is touched");
+        assert_eq!(a.cached_digest(), Some(d));
+        // A later mutation through either handle detaches as usual.
+        a.insert(tuple!["b", "c"]).unwrap();
+        assert_eq!(b.len(), 1);
+        assert_eq!(b.cached_digest(), Some(d));
+        // Keyed schemas: a different key (or none) is refused, and the
+        // relation is left as it was.
+        let keyed_pair = Schema::with_key(
+            vec![
+                Attribute::new("front", Domain::Str),
+                Attribute::new("back", Domain::Str),
+            ],
+            &["front"],
+        )
+        .unwrap();
+        let mut c = b.clone();
+        assert!(matches!(
+            c.relabel(keyed_pair.clone()),
+            Err(RelationError::Incompatible { .. })
+        ));
+        assert_eq!(c.schema(), &infrontrel());
+        let mut k = Relation::from_tuples(keyed_pair.clone(), vec![tuple!["x", "y"]]).unwrap();
+        assert!(k.relabel(infrontrel()).is_err());
+        // The same key under other attribute names is fine, and the key
+        // map keeps guarding it.
+        let renamed = Schema::with_key(
+            vec![
+                Attribute::new("head", Domain::Str),
+                Attribute::new("tail", Domain::Str),
+            ],
+            &["head"],
+        )
+        .unwrap();
+        k.relabel(renamed).unwrap();
+        assert!(k.insert(tuple!["x", "z"]).is_err());
+        // Incompatible arity is refused too.
+        assert!(c.relabel(Schema::of(&[("n", Domain::Int)])).is_err());
     }
 
     #[test]

@@ -201,7 +201,7 @@ fn explain_solve(
             }
         }
         let schema_refs: Vec<&Schema> = schemas.iter().collect();
-        let (plan, rationale) = joinplan::plan_branch_traced(branch, &schema_refs, &stats);
+        let (plan, rationale) = joinplan::plan_branch_traced(branch, &schema_refs, &stats, &[]);
         events.push(PlanEvent::access_path_for(
             branch,
             &plan,

@@ -87,6 +87,10 @@ counters! {
     QuantScans => quant_scans,
     /// Decorrelated quantifier plans built.
     DecorrBuilds => decorr_builds,
+    /// Hash indexes built by an evaluator or an `Overlay` catalog
+    /// (catalog-maintained and cached indexes served without a build
+    /// are not counted).
+    IndexBuilds => index_builds,
     /// Decorrelation attempts refused (see plan events for why).
     DecorrRefusals => decorr_refusals,
     /// Branches evaluated by parallel workers.
